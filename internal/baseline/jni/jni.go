@@ -22,7 +22,6 @@ package jni
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"motor/internal/mp"
@@ -187,7 +186,7 @@ func (b *Binding) Send(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	if err != nil {
 		return err
 	}
-	return b.wait(t, req)
+	return b.wait(req)
 }
 
 // Recv receives into a primitive array (copy-back semantics).
@@ -220,7 +219,7 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	if err != nil {
 		return mp.Status{}, err
 	}
-	st, err := b.waitStatus(t, req)
+	st, err := b.waitStatus(req)
 	if err != nil {
 		return st, err
 	}
@@ -228,19 +227,20 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	return st, nil
 }
 
-func (b *Binding) wait(t *vm.Thread, req *mp.Request) error {
-	_, err := b.waitStatus(t, req)
+func (b *Binding) wait(req *mp.Request) error {
+	_, err := b.waitStatus(req)
 	return err
 }
 
-func (b *Binding) waitStatus(t *vm.Thread, req *mp.Request) (mp.Status, error) {
+func (b *Binding) waitStatus(req *mp.Request) (mp.Status, error) {
 	for {
 		done, st, err := b.comm.Test(req)
 		if done {
 			return st, err
 		}
-		t.PollGC()
-		runtime.Gosched()
+		// The device's idle step is the GC poll (its Yield), a
+		// processor release and, on sock, a bounded park.
+		b.comm.Device().Idle()
 	}
 }
 

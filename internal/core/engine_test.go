@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,10 +230,27 @@ func TestArrayRangeTransport(t *testing.T) {
 // TestPinningPolicyStats verifies the §7.4 decision table through the
 // engine's counters.
 func TestPinningPolicyStats(t *testing.T) {
+	// Handshake instead of sleeps: rank 1 sends each of (b)'s and (c)'s
+	// messages only once rank 0's receive is posted and inside its
+	// polling-wait. Rank 0 arms the flag just before each receive; its
+	// device's idle step (the polling-wait's yield, which runs only
+	// after the receive was posted, found incomplete and its pin
+	// decision taken) disarms it and hands rank 1 one token.
+	var armed atomic.Bool
+	inWait := make(chan struct{}, 1)
 	runRanks(t, 2, nil, func(r *rank) error {
 		h := r.v.Heap
 		c := r.e.Comm
 		if c.Rank() == 0 {
+			dev := r.e.World.Dev
+			poll := dev.Yield
+			dev.Yield = func() {
+				if armed.CompareAndSwap(true, false) {
+					inWait <- struct{}{}
+				}
+				poll()
+			}
+
 			// (a) Eager send of a young object completes fast: no pin.
 			msg, _ := h.NewInt32Array([]int32{1})
 			if !h.IsYoung(msg) {
@@ -256,6 +274,7 @@ func TestPinningPolicyStats(t *testing.T) {
 			if h.IsYoung(elder) {
 				return errors.New("not promoted")
 			}
+			armed.Store(true)
 			if _, err := r.e.Recv(r.th, elder, 1, 1); err != nil {
 				return err
 			}
@@ -268,6 +287,7 @@ func TestPinningPolicyStats(t *testing.T) {
 
 			// (c) Young object blocking recv that must wait: deferred pin.
 			young, _ := h.NewInt32Array(make([]int32, 4))
+			armed.Store(true)
 			if _, err := r.e.Recv(r.th, young, 1, 2); err != nil {
 				return err
 			}
@@ -284,13 +304,13 @@ func TestPinningPolicyStats(t *testing.T) {
 		if _, err := r.e.Recv(r.th, buf, 0, 0); err != nil {
 			return err
 		}
-		// Delay so rank 0's receives must enter their polling-waits.
-		time.Sleep(30 * time.Millisecond)
+		// Send only once rank 0's receive is in its polling-wait.
+		<-inWait
 		m1, _ := h.NewInt32Array([]int32{7})
 		if err := r.e.Send(r.th, m1, 0, 1); err != nil {
 			return err
 		}
-		time.Sleep(30 * time.Millisecond)
+		<-inWait
 		m2, _ := h.NewInt32Array([]int32{8, 8, 8, 8})
 		return r.e.Send(r.th, m2, 0, 2)
 	})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"motor/internal/mp"
+	"motor/internal/mp/channel"
 	"motor/internal/vm"
 )
 
@@ -75,6 +76,81 @@ func TestEngineOverSockChannel(t *testing.T) {
 			return err
 		}
 		return verifyList(h, mt, head, 4, 8, true)
+	})
+}
+
+// TestCondPinStatusFreshOnSock is the §7.4 mark-phase status check
+// over sock, where Poll never waits: an Irecv into a young buffer is
+// pending, the peer's eager frame has landed in the receiver's socket
+// buffer, and nothing on the receiver has polled since. The next
+// scavenge's hook pass must complete the request, so the conditional
+// pin is dropped at mark, not held.
+func TestCondPinStatusFreshOnSock(t *testing.T) {
+	landed := make(chan struct{})
+	runRanksKind(t, mp.ChannelSock, 2, nil, func(r *rank) error {
+		h := r.v.Heap
+		if r.e.Comm.Rank() == 1 {
+			sig, _ := h.NewInt32Array(make([]int32, 1))
+			if _, err := r.e.Recv(r.th, sig, 0, 9); err != nil {
+				return err
+			}
+			vals := make([]int32, 64) // 256 B: eager, needs no receiver progress
+			for i := range vals {
+				vals[i] = int32(i * 7)
+			}
+			payload, _ := h.NewInt32Array(vals)
+			err := r.e.Send(r.th, payload, 0, 0)
+			close(landed)
+			return err
+		}
+		buf, err := h.NewInt32Array(make([]int32, 64))
+		if err != nil {
+			return err
+		}
+		defer r.th.PushFrame(&buf)()
+		id, err := r.e.Irecv(r.th, buf, 1, 0)
+		if err != nil {
+			return err
+		}
+		if !h.IsYoung(buf) || h.CondPinCount() != 1 {
+			return fmt.Errorf("want a conditional pin on a young buffer (young=%v, requests=%d)",
+				h.IsYoung(buf), h.CondPinCount())
+		}
+		sig, _ := h.NewInt32Array([]int32{1})
+		if err := r.e.Send(r.th, sig, 1, 9); err != nil {
+			return err
+		}
+		<-landed
+		// The sender's write has returned; a Wait parks only until the
+		// bytes are readable (it consumes nothing), so the frame is in
+		// the socket buffer before the collection.
+		if w, ok := r.e.World.Dev.Channel().(channel.Waiter); ok {
+			w.Wait()
+		}
+		dev0 := r.e.World.Dev.StatsSnapshot()
+		gc0 := h.Stats.Snapshot()
+		r.th.CollectYoung()
+		dev1 := r.e.World.Dev.StatsSnapshot()
+		gc1 := h.Stats.Snapshot()
+		if got := dev1.EagerRecvd - dev0.EagerRecvd; got != 1 {
+			return fmt.Errorf("scavenge hook pass received %d frames, want 1", got)
+		}
+		if held, dropped := gc1.CondPinsHeld-gc0.CondPinsHeld, gc1.CondPinsDropped-gc0.CondPinsDropped; held != 0 || dropped != 1 {
+			return fmt.Errorf("mark phase held %d and dropped %d conditional pins, want 0 and 1", held, dropped)
+		}
+		if h.CondPinCount() != 0 {
+			return errors.New("completed request still registered")
+		}
+		done, st, err := r.e.Test(r.th, id)
+		if err != nil || !done || st.Count != 64*4 {
+			return fmt.Errorf("Test after the scavenge = %v, %+v, %v; want done, 256 bytes", done, st, err)
+		}
+		for i, v := range h.Int32Slice(buf) {
+			if v != int32(i*7) {
+				return fmt.Errorf("elem %d = %d after the scavenge", i, v)
+			}
+		}
+		return nil
 	})
 }
 

@@ -83,7 +83,7 @@ func (e *Engine) probeYielding(t *vm.Thread, source int, sp mp.OOSpace, tag int)
 		if ok {
 			return st, nil
 		}
-		e.idle(t)
+		e.idle()
 	}
 }
 
@@ -182,7 +182,7 @@ func (e *Engine) awaitTableAck(t *vm.Thread, sw *serial.StreamWriter, dest, tag 
 			e.bufs.put(blob)
 			return err
 		}
-		e.idle(t)
+		e.idle()
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"motor/internal/mp"
 	"motor/internal/obs"
@@ -117,12 +116,11 @@ func (e *Engine) waitBlocking(t *vm.Thread, c *mp.Comm, obj vm.Ref, req *mp.Requ
 	}
 }
 
-// idle is one step of the polling-wait: yield to the collector and
-// release the processor for peer ranks (see adi.Device.idle).
-func (e *Engine) idle(t *vm.Thread) {
-	t.PollGC()
-	runtime.Gosched()
-}
+// idle is one step of the polling-wait: the device's idle step yields
+// to the collector (its Yield is the VM poll point), releases the
+// processor for peer ranks and, on sock, parks until an arrival (see
+// adi.Device.idle).
+func (e *Engine) idle() { e.World.Dev.Idle() }
 
 // waitStep is one iteration of a blocking wait on req. Inline mode
 // yields to the collector between the caller's progress passes (the
@@ -138,7 +136,7 @@ func (e *Engine) waitStep(t *vm.Thread, req *mp.Request) {
 		t.Park(func() { <-ch })
 		return
 	}
-	e.idle(t)
+	e.idle()
 }
 
 // Send transports a whole object (blocking, standard mode).

@@ -827,15 +827,23 @@ func (d *Device) WaitReq(req *Request) (Status, error) {
 func (d *Device) Idle() { d.idle() }
 
 // idle is called between fruitless progress polls: it runs the
-// embedder's yield (the GC poll point for Motor) and releases the
+// embedder's yield (the GC poll point for Motor), releases the
 // processor so peer ranks sharing this machine can make progress —
 // essential on single-CPU hosts, where a busy spin would otherwise
-// stall the partner until the scheduler preempts.
+// stall the partner until the scheduler preempts — and, on a channel
+// that implements channel.Waiter (sock), parks until an arrival or
+// the channel's bound. It is the only place the device waits:
+// channel.Poll never does, so every pass outside a blocking wait (the
+// collector's hook, TestReq, Iprobe, PollCtrl, a background progress
+// pass) costs progress only. It runs outside the device lock.
 func (d *Device) idle() {
 	if d.Yield != nil {
 		d.Yield()
 	}
 	runtime.Gosched()
+	if w, ok := d.ch.(channel.Waiter); ok {
+		w.Wait()
+	}
 }
 
 // TestReq makes one progress pass and reports completion.

@@ -102,10 +102,26 @@ type Channel interface {
 	// block indefinitely. The payload is consumed before return.
 	Send(dest int, hdr Header, payload []byte) error
 	// Poll delivers at most one pending incoming packet to the sink,
-	// reporting whether anything was delivered.
+	// reporting whether anything was delivered. Poll never waits: it
+	// takes what has already arrived and returns, so a caller that
+	// only wants fresh status (the collector's mark-phase check,
+	// TestReq, Iprobe, a background progress pass) pays for progress,
+	// not for an idle wait. Waiting for the next arrival is the job of
+	// Waiter, called by the device between fruitless passes.
 	Poll(sink Sink) (bool, error)
 	// Close releases channel resources.
 	Close() error
+}
+
+// Waiter is implemented by channels whose arrivals only the operating
+// system can announce (sock). Wait parks until a packet may be pending
+// or a short bound (pollWindow) passes, whichever comes first; it
+// delivers nothing and the next Poll takes the packet. The device
+// calls it between fruitless passes of a blocking wait (adi
+// Device.idle) — the one place a wait may happen. Channels without it
+// (shm, loop) see a peer's Send in their next Poll and need no wait.
+type Waiter interface {
+	Wait()
 }
 
 // ErrClosed is returned by operations on a closed channel.

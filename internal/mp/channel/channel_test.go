@@ -43,6 +43,15 @@ func TestHeaderMarshalRoundtrip(t *testing.T) {
 	}
 }
 
+// idle is the device's wait step between fruitless polls: Poll never
+// waits, so a polling loop bounded by an iteration count parks here,
+// as adi Device.idle does, to keep the bound a span of time.
+func idle(ch Channel) {
+	if w, ok := ch.(Waiter); ok {
+		w.Wait()
+	}
+}
+
 func drain(t *testing.T, ch Channel, sink Sink, want int) {
 	t.Helper()
 	got := 0
@@ -53,6 +62,8 @@ func drain(t *testing.T, ch Channel, sink Sink, want int) {
 		}
 		if ok {
 			got++
+		} else {
+			idle(ch)
 		}
 	}
 	if got != want {
@@ -145,6 +156,8 @@ func TestSockGroupMesh(t *testing.T) {
 				}
 				if ok {
 					got++
+				} else {
+					idle(chans[r])
 				}
 			}
 			for i, h := range sink.hdrs {
@@ -262,6 +275,8 @@ func TestSockBidirectionalLargeTransfers(t *testing.T) {
 				}
 				if ok {
 					got++
+				} else if sent == msgs {
+					idle(chans[me])
 				}
 				if i > 1000000 {
 					errs <- fmt.Errorf("rank %d stuck at sent=%d got=%d", me, sent, got)

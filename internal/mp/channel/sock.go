@@ -8,7 +8,9 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"motor/internal/obs"
@@ -26,6 +28,23 @@ import (
 // is only guaranteed stable while the managed thread sits inside this
 // call. Only header bytes are buffered across polls.
 //
+// Poll never waits; only Wait (called by adi Device.idle between
+// fruitless passes of a blocking wait) does, bounded by pollWindow. A
+// pass first asks each connection whether a read would return at once
+// — one recvfrom(MSG_PEEK|MSG_DONTWAIT) through the connection's
+// RawConn, which never parks and consumes nothing — and reads through
+// the net.Conn only when bytes, an EOF or an error are pending, so an
+// idle connection costs one system call and no deadline. A pass must
+// not wait because Go's Linux netpoller rounds any sub-millisecond
+// wait up to ~1 ms (epoll_wait counts milliseconds) and the collector's
+// §7.4 status check makes one pass per scavenge: with a pollWindow
+// read deadline in every pass, the end-to-end benchmark's sock
+// workload (bulk, 1618 scavenges per solve) spent ~1.6 s of a ~1.8 s
+// solve in collector pauses, ~11 ms without (docs/PROGRESS.md has
+// both ledgers). Reads still go through the net.Conn, so a
+// fault-injecting wrapper that forwards SyscallConn keeps injecting
+// read faults.
+//
 // Failure containment: any error that leaves a connection's framing
 // undefined — a write that stopped mid-frame, a read that hit a reset
 // or an EOF inside a packet — poisons that connection: it is closed,
@@ -37,9 +56,9 @@ import (
 const (
 	dialTimeout = 10 * time.Second
 	bodyTimeout = 30 * time.Second
-	// pollWindow is the header-read deadline of one Poll pass. A
-	// blocked read wakes as soon as bytes arrive, so this bounds the
-	// idle cost of a pass, not delivery latency.
+	// pollWindow bounds one Wait. A parked Wait wakes as soon as
+	// bytes arrive, so this bounds the idle cost of a wait step, not
+	// delivery latency. Go's netpoller rounds it up to ~1 ms on Linux.
 	pollWindow = 100 * time.Microsecond
 )
 
@@ -87,13 +106,68 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 type sockConn struct {
 	peer   int
 	c      net.Conn
+	raw    syscall.RawConn // c's descriptor, for readiness checks only
 	hdrBuf [HeaderSize]byte
 	hdrGot int
 	poison error // non-nil once the framing is undefined; conn is dead
+
+	// peek and park are the method values peekReady and
+	// parkUntilReady, bound once so a poll pass allocates nothing.
+	peek, park func(fd uintptr) bool
+	ready      bool  // answer of the last readiness check
+	peekErr    error // socket error a readiness check consumed
+	peekBuf    [1]byte
+}
+
+// peekReady is the RawConn.Read callback of a readiness check: it
+// peeks one byte without consuming it and records in ready whether a
+// read would return at once (bytes, an EOF, or a pending socket
+// error). It always returns, so the check never parks. The peek that
+// sees a socket error consumes it (the kernel clears it), so the error
+// is kept in peekErr for the next pass to report instead of the EOF a
+// read would then see.
+func (sc *sockConn) peekReady(fd uintptr) bool {
+	_, _, err := syscall.Recvfrom(int(fd), sc.peekBuf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+	sc.ready = err != syscall.EAGAIN && err != syscall.EINTR
+	if sc.ready && err != nil && sc.peekErr == nil {
+		sc.peekErr = err
+	}
+	return true
+}
+
+// parkUntilReady is peekReady for Wait: it lets the netpoller park
+// the caller while nothing is pending.
+func (sc *sockConn) parkUntilReady(fd uintptr) bool {
+	sc.peekReady(fd)
+	return sc.ready
+}
+
+// newSockConn wraps an established mesh connection. The connection
+// must expose its descriptor (syscall.Conn): Poll checks readiness
+// through it instead of with a read deadline.
+func newSockConn(peer int, c net.Conn) (*sockConn, error) {
+	sysc, ok := c.(syscall.Conn)
+	if !ok {
+		return nil, fmt.Errorf("%w: sock connection to %d has no descriptor (%T)", ErrConfig, peer, c)
+	}
+	raw, err := sysc.SyscallConn()
+	if err != nil {
+		return nil, fmt.Errorf("sock: descriptor of connection to %d: %w", peer, err)
+	}
+	sc := &sockConn{peer: peer, c: c, raw: raw}
+	sc.peek, sc.park = sc.peekReady, sc.parkUntilReady
+	return sc, nil
 }
 
 // SockChannel is one rank's endpoint of a TCP-connected world.
 type SockChannel struct {
+	// rmu serializes the read side — Poll's reads and deadlines
+	// against Wait's deadline — so a Wait never cuts short a payload
+	// read in flight on another goroutine. Poll only tries it: while a
+	// Wait holds it, the pass returns empty instead of waiting, and the
+	// waiter polls as soon as it wakes.
+	rmu sync.Mutex //motorlint:lockorder 30 channel
+
 	rank  int
 	size  int
 	conns []*sockConn // indexed by peer rank; nil at self / retired
@@ -113,6 +187,7 @@ type SockChannel struct {
 
 var (
 	_ Channel     = (*SockChannel)(nil)
+	_ Waiter      = (*SockChannel)(nil)
 	_ StatsSource = (*SockChannel)(nil)
 )
 
@@ -190,12 +265,18 @@ func (c *SockChannel) Send(dest int, hdr Header, payload []byte) error {
 	return nil
 }
 
-// Poll implements Channel: non-blocking header reads round-robin over
-// peers; when a header completes, the payload is drained into the
-// sink's buffer before returning. A connection-level failure is
-// returned as a PeerError after the connection is poisoned; other
-// peers are unaffected and keep being polled on later passes.
+// Poll implements Channel: readiness checks round-robin over peers,
+// reading only from a connection with something pending; when a header
+// completes, the payload is drained into the sink's buffer before
+// returning. Poll never waits for an arrival. A connection-level
+// failure is returned as a PeerError after the connection is
+// poisoned; other peers are unaffected and keep being polled on later
+// passes.
 func (c *SockChannel) Poll(sink Sink) (bool, error) {
+	if !c.rmu.TryLock() {
+		return false, nil // a Wait is parked on the read side
+	}
+	defer c.rmu.Unlock()
 	n := len(c.conns)
 	for i := 0; i < n; i++ {
 		peer := (c.next + i) % n
@@ -216,11 +297,18 @@ func (c *SockChannel) Poll(sink Sink) (bool, error) {
 }
 
 func (c *SockChannel) pollConn(sc *sockConn, sink Sink) (bool, error) {
-	// Short-deadline read: wakes immediately when data arrives and
-	// abandons the pass after pollWindow otherwise. (A deadline in
-	// the past would fail without ever attempting the read.)
-	if err := sc.c.SetReadDeadline(time.Now().Add(pollWindow)); err != nil {
-		return false, c.poisonConn(sc, err)
+	// Readiness first: an idle connection costs one non-consuming peek
+	// and no read. The connection carries no read deadline here (Wait
+	// and the payload read clear theirs), so the peek is always tried,
+	// and a read after a positive peek returns at once.
+	if err := sc.raw.Read(sc.peek); err != nil {
+		return false, c.poisonConn(sc, fmt.Errorf("sock: readiness check: %w", err))
+	}
+	if sc.peekErr != nil {
+		return false, c.poisonConn(sc, fmt.Errorf("sock: read: %w", sc.peekErr))
+	}
+	if !sc.ready {
+		return false, nil
 	}
 	n, err := sc.c.Read(sc.hdrBuf[sc.hdrGot:])
 	sc.hdrGot += n
@@ -272,6 +360,9 @@ func (c *SockChannel) pollConn(sc *sockConn, sink Sink) (bool, error) {
 				return false, c.poisonConn(sc, fmt.Errorf("sock: payload discard: %w", err))
 			}
 		}
+		if err := sc.c.SetReadDeadline(time.Time{}); err != nil {
+			return false, c.poisonConn(sc, err)
+		}
 	}
 	sink.Done(hdr)
 	atomic.AddUint64(&c.stats.framesRecvd, 1)
@@ -281,6 +372,36 @@ func (c *SockChannel) pollConn(sc *sockConn, sink Sink) (bool, error) {
 			uint64(obs.FrameIn), uint64(hdr.Type), uint64(hdr.Source), uint64(hdr.Size))
 	}
 	return true, nil
+}
+
+// Wait implements Waiter: it parks until the connection next in the
+// poll order has bytes, an EOF or an error pending, or pollWindow
+// passes. One connection per Wait, rotating, so with several peers a
+// packet from another one waits at most one window; a blocking wait
+// calls Wait once per fruitless pass. Wait runs outside the device
+// lock, so it touches only what rmu guards (the poll set and cursor)
+// and never reads sc.poison, which Send writes under the device lock;
+// a poisoned connection is closed, so its Wait returns at once.
+func (c *SockChannel) Wait() {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	n := len(c.conns)
+	for i := 0; i < n; i++ {
+		peer := (c.next + i) % n
+		sc := c.conns[peer]
+		if sc == nil {
+			continue
+		}
+		c.next = (peer + 1) % n
+		if sc.c.SetReadDeadline(time.Now().Add(pollWindow)) != nil {
+			return // closed: the next Poll reports it
+		}
+		// The deadline ends the park; an error here is that expiry or
+		// a close the next Poll reports.
+		_ = sc.raw.Read(sc.park)
+		sc.c.SetReadDeadline(time.Time{})
+		return
+	}
 }
 
 // retire drops a gracefully-closed peer connection from the poll set.
@@ -503,7 +624,13 @@ func BootstrapWith(plat pal.Platform, rootAddr string, rank, size int, rp RetryP
 				errc <- fmt.Errorf("sock bootstrap: identify to %d: %w", j, err)
 				return
 			}
-			ch.conns[j] = &sockConn{peer: j, c: conn}
+			sc, err := newSockConn(j, conn)
+			if err != nil {
+				conn.Close()
+				errc <- err
+				return
+			}
+			ch.conns[j] = sc
 		}
 		errc <- nil
 	}()
@@ -527,7 +654,13 @@ func BootstrapWith(plat pal.Platform, rootAddr string, rank, size int, rp RetryP
 				errc <- fmt.Errorf("%w: bootstrap got bad mesh peer %d", ErrProtocol, peer)
 				return
 			}
-			ch.conns[peer] = &sockConn{peer: peer, c: conn}
+			sc, err := newSockConn(peer, conn)
+			if err != nil {
+				conn.Close()
+				errc <- err
+				return
+			}
+			ch.conns[peer] = sc
 		}
 		errc <- nil
 	}()

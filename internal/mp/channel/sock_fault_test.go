@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -128,5 +129,76 @@ func TestSockMidPayloadDropPoisons(t *testing.T) {
 	}
 	if len(sink.hdrs) != 0 {
 		t.Fatalf("receiver completed %d packets from a truncated stream", len(sink.hdrs))
+	}
+}
+
+// TestSockReadFaultAfterPeekPoisons injects read-side faults on the
+// receiver. A Poll reads only after its peek saw bytes pending, so the
+// receiver's read #2 (#1 is the bootstrap table) is the first read of
+// the frame's header, with the frame in the socket buffer. A reset or a
+// drop there, or a reset on the read after a short one (mid-header),
+// must still poison the connection with a PeerError naming the sender
+// and deliver nothing; a short read alone is legal TCP and the frame
+// arrives intact.
+func TestSockReadFaultAfterPeekPoisons(t *testing.T) {
+	cases := []struct {
+		name   string
+		rules  []fault.Rule
+		poison bool
+	}{
+		{"reset", []fault.Rule{{Op: fault.OpRead, Kind: fault.KindReset, Nth: 2}}, true},
+		{"drop", []fault.Rule{{Op: fault.OpRead, Kind: fault.KindDrop, Nth: 2, Bytes: 10}}, true},
+		{"short-then-reset", []fault.Rule{
+			{Op: fault.OpRead, Kind: fault.KindShort, Nth: 2, Bytes: 10},
+			{Op: fault.OpRead, Kind: fault.KindReset, Nth: 3},
+		}, true},
+		{"short", []fault.Rule{{Op: fault.OpRead, Kind: fault.KindShort, Nth: 2, Bytes: 10}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fp := fault.New(pal.Default, fault.Plan{Seed: 1, Rules: tc.rules})
+			rp := RetryPolicy{DialAttempts: 2, BootstrapAttempts: 2,
+				BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
+				AcceptTimeout: 5 * time.Second}
+			chans, err := NewSockGroupLocalOn([]pal.Platform{nil, fp}, 2, rp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer chans[0].Close()
+			defer chans[1].Close()
+
+			payload := []byte("payload after a positive peek")
+			if err := chans[0].Send(1, Header{Type: PktEager, Source: 0, Tag: 6}, payload); err != nil {
+				t.Fatal(err)
+			}
+			sink := &collectSink{}
+			var pollErr error
+			deadline := time.Now().Add(10 * time.Second)
+			for len(sink.hdrs) == 0 && pollErr == nil {
+				if time.Now().After(deadline) {
+					t.Fatal("receiver neither delivered nor poisoned")
+				}
+				_, pollErr = chans[1].Poll(sink)
+			}
+			if got := fp.Stats().Total; got != uint64(len(tc.rules)) {
+				t.Fatalf("faults injected = %d, want %d", got, len(tc.rules))
+			}
+			if !tc.poison {
+				if pollErr != nil || !bytes.Equal(sink.payloads[0], payload) {
+					t.Fatalf("short read: err %v, payload %q; want the frame intact", pollErr, sink.payloads)
+				}
+				return
+			}
+			var pe *PeerError
+			if !errors.As(pollErr, &pe) || pe.Peer != 0 {
+				t.Fatalf("Poll err = %v, want PeerError for peer 0", pollErr)
+			}
+			if len(sink.hdrs) != 0 {
+				t.Fatalf("delivered %d packets from a faulted stream", len(sink.hdrs))
+			}
+			if got := chans[1].TransportStats().PoisonedConns; got != 1 {
+				t.Fatalf("receiver PoisonedConns = %d, want 1", got)
+			}
+		})
 	}
 }

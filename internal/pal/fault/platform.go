@@ -217,6 +217,18 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	}
 }
 
+// SyscallConn forwards to the inner connection, so a transport that
+// checks readiness on the descriptor (the sock channel's non-consuming
+// peek) sees the real socket while its reads still pass through Read
+// and its faults.
+func (c *faultConn) SyscallConn() (syscall.RawConn, error) {
+	sc, ok := c.Conn.(syscall.Conn)
+	if !ok {
+		return nil, opErr("syscallconn", syscall.ENOTSOCK)
+	}
+	return sc.SyscallConn()
+}
+
 // SetNoDelay forwards to the inner connection when it is a TCP
 // connection (the sock channel disables Nagle after bootstrap).
 func (c *faultConn) SetNoDelay(v bool) error {

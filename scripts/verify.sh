@@ -31,8 +31,13 @@
 #                     modern differential parity suite and cond-pin
 #                     race regression under -race, a bounded heap-ops
 #                     fuzz smoke, and the quick GC pause benchmark.
+#   e2e tier:         the end-to-end benchmark as a correctness smoke —
+#                     perfbench's own tests, then every workload once,
+#                     traced: every step checked against its reference,
+#                     acct.violations 0 on every rank, the prediction
+#                     rows met. No timing gate.
 #
-# Usage: scripts/verify.sh [quick|race|stress|all|bench|vet|lint|quicken|obs|gc]
+# Usage: scripts/verify.sh [quick|race|stress|all|bench|vet|lint|quicken|obs|gc|e2e]
 #   quick   tier 1 with -short (chaos sweeps skipped; < ~30s)
 #   race    tier 2 only
 #   stress  stress tier only: shared-rank goroutine stress, fault
@@ -51,6 +56,8 @@
 #           merge round-trip, flight-recorder budget
 #   gc      gc tier only: parity + race regression under -race, fuzz
 #           smoke, quick pause benchmark
+#   e2e     e2e tier only: perfbench tests + one short traced run of
+#           every workload (needs bash)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -280,6 +287,39 @@ tier_gc() {
 	sh scripts/bench_gc.sh quick
 }
 
+# E2E tier: the end-to-end benchmark (perfbench/, BENCHMARK.json) as a
+# correctness and prediction-row smoke. perfbench's tests prove a wrong
+# expected value is caught; the run drives all three workloads through
+# the whole stack once, traced. run.sh exits nonzero on a failed step
+# check or an unmet prediction row; the accounting identities are
+# checked here, from the printed per-layer rows (rank 0 | rank 1) and
+# the merged summary rows. Timings are printed, never gated.
+tier_e2e() {
+	echo "== e2e: perfbench tests"
+	(cd perfbench && go test ./...)
+	echo "== e2e: every workload once, traced (correctness smoke, no timing gate)"
+	log=$(mktemp /tmp/motor-e2e.XXXXXX)
+	if ! bash perfbench/run.sh --workload all --repeats 1 --seconds 2 --trace 1 >"$log" 2>&1; then
+		cat "$log"
+		rm -f "$log"
+		echo "verify: end-to-end run failed (step check or prediction row)" >&2
+		exit 1
+	fi
+	cat "$log"
+	bad=$(awk '$1 == "acct.violations" && ($2 != 0 || ($3 == "|" && $4 != 0))' "$log")
+	if [ -n "$bad" ] || grep -q '^  accounting:' "$log"; then
+		rm -f "$log"
+		echo "verify: end-to-end accounting violations: $bad" >&2
+		exit 1
+	fi
+	grep -q '^predictions: met' "$log" || {
+		rm -f "$log"
+		echo "verify: end-to-end prediction rows not reported met" >&2
+		exit 1
+	}
+	rm -f "$log"
+}
+
 # Trace smoke: a traced mpstat run must produce a loadable Chrome
 # trace (exercises the MOTOR_TRACE env path end to end).
 smoke_trace() {
@@ -320,8 +360,9 @@ lint) tier_lint ;;
 quicken) tier_quicken ;;
 obs) tier_obs ;;
 gc) tier_gc ;;
+e2e) tier_e2e ;;
 *)
-	echo "usage: $0 [quick|race|stress|all|bench|vet|lint|quicken|obs|gc]" >&2
+	echo "usage: $0 [quick|race|stress|all|bench|vet|lint|quicken|obs|gc|e2e]" >&2
 	exit 2
 	;;
 esac
